@@ -26,8 +26,10 @@
 //!   towers);
 //! * `mul` — per-tower degree-2 tensor, then RNS relinearization: the
 //!   `c2` towers come back to the host for gadget decomposition and the
-//!   digit products run as fused key-switch dispatches against resident
-//!   key material on every live tower's lane;
+//!   digit products run tower-major as fused two-component key-switch
+//!   dispatches (one per digit per live tower, updating both
+//!   accumulators) against resident key material on every live tower's
+//!   lane;
 //! * `rescale` — the dropped tower is inverse-transformed and
 //!   downloaded, the host derives the exact rounding correction `δ`
 //!   ([`LeveledContext::rescale_correction`]), and each surviving tower
@@ -737,11 +739,16 @@ impl<'a> LeveledEvaluator<'a> {
     /// level: per-tower degree-2 tensor (five pointwise dispatches per
     /// tower), then RNS relinearization — the `c2` towers are
     /// inverse-transformed and downloaded, gadget-decomposed on the
-    /// host, and the digit products run as fused key-switch dispatches
-    /// against the resident key on every live tower's lane. The result
-    /// stays at the same level; follow with [`rescale`](Self::rescale)
-    /// (or use [`mul_rescale`](Self::mul_rescale)) to shed the noise
-    /// growth.
+    /// host, and every digit is uploaded once per lane. The digit
+    /// products then run tower-major: for each live tower `k`, one
+    /// fused two-component key-switch dispatch per (source tower,
+    /// digit) transforms the digit once and folds it into both of
+    /// tower `k`'s accumulators against the resident key, so a level-`L`
+    /// multiply issues `(L + 1) · Σ_{i ≤ L} ℓ_i` key-switch dispatches
+    /// and, on one lane, loads each tower's key-switch image once. The
+    /// result stays at the same level; follow with
+    /// [`rescale`](Self::rescale) (or use
+    /// [`mul_rescale`](Self::mul_rescale)) to shed the noise growth.
     ///
     /// Bit-exactly equal to the host [`LeveledContext::mul`] on any
     /// lane count.
@@ -805,8 +812,8 @@ impl<'a> LeveledEvaluator<'a> {
         }
 
         // Key switch: zero accumulators per live tower, then one fused
-        // NTT-multiply-accumulate dispatch per (source tower, digit,
-        // live tower) against the resident key material.
+        // two-component NTT-multiply-accumulate dispatch per (live
+        // tower, source tower, digit) against the resident key material.
         let zeros = vec![0u128; n];
         let mut acc_a = Vec::with_capacity(level + 1);
         let mut acc_b = Vec::with_capacity(level + 1);
@@ -819,38 +826,48 @@ impl<'a> LeveledEvaluator<'a> {
             temps.push(b);
             acc_b.push(b);
         }
+        // Decompose every source tower and upload each digit once per
+        // distinct lane (a digit is `< B`, valid in every tower, so one
+        // copy serves all of that lane's towers). Towers `0..=level`
+        // land on lanes `0..lanes_used`.
+        let lanes_used = (level + 1).min(self.cluster.lane_count());
+        let mut digit_bufs: Vec<Vec<Vec<DeviceBuffer>>> = Vec::with_capacity(level + 1);
         for (i, src) in c2_coeffs.iter().enumerate() {
-            let digits = gadget_decompose(src, base_log, digit_counts[i]);
-            for (j, digit) in digits.into_iter().enumerate() {
-                // The digit is `< B`, valid in every tower — upload it
-                // once per distinct lane and share across that lane's
-                // towers.
-                let mut lane_digit: HashMap<usize, DeviceBuffer> = HashMap::new();
-                for k in 0..=level {
-                    let lane = self.tower_lane(k);
-                    let d = match lane_digit.get(&lane) {
-                        Some(d) => *d,
-                        None => {
-                            let d = step!(self.cluster.upload_to(lane, &digit));
-                            temps.push(d);
-                            lane_digit.insert(lane, d);
-                            d
-                        }
-                    };
-                    let ksw = Arc::clone(&self.kernels[k].ksw);
-                    let (ka, kb) = (&key_parts[i][j].0[k], &key_parts[i][j].1[k]);
-                    step!(self
-                        .dispatch(lane, &ksw, &[d, *ka, acc_a[k]], &[acc_a[k]])
-                        .map(|_| ()));
-                    step!(self
-                        .dispatch(lane, &ksw, &[d, *kb, acc_b[k]], &[acc_b[k]])
-                        .map(|_| ()));
+            let mut per_digit = Vec::with_capacity(digit_counts[i]);
+            for digit in gadget_decompose(src, base_log, digit_counts[i]) {
+                let mut per_lane = Vec::with_capacity(lanes_used);
+                for lane in 0..lanes_used {
+                    let d = step!(self.cluster.upload_to(lane, &digit));
+                    temps.push(d);
+                    per_lane.push(d);
                 }
-                for d in lane_digit.into_values() {
-                    self.cluster.free(d)?;
-                    temps.retain(|b| *b != d);
+                per_digit.push(per_lane);
+            }
+            digit_bufs.push(per_digit);
+        }
+        // Tower-major: all of tower `k`'s digit dispatches run back to
+        // back, so on one lane its key-switch image stays resident.
+        // Each accumulator still sums over `(i, j)` in the same order.
+        for k in 0..=level {
+            let lane = self.tower_lane(k);
+            let ksw = Arc::clone(&self.kernels[k].ksw);
+            for (i, per_digit) in digit_bufs.iter().enumerate() {
+                for (j, per_lane) in per_digit.iter().enumerate() {
+                    let (ka, kb) = (key_parts[i][j].0[k], key_parts[i][j].1[k]);
+                    step!(self
+                        .dispatch(
+                            lane,
+                            &ksw,
+                            &[per_lane[lane], ka, kb, acc_a[k], acc_b[k]],
+                            &[acc_a[k], acc_b[k]],
+                        )
+                        .map(|_| ()));
                 }
             }
+        }
+        for d in digit_bufs.into_iter().flatten().flatten() {
+            self.cluster.free(d)?;
+            temps.retain(|b| *b != d);
         }
 
         // Combine: a = c1 + Σ d̂·â, b = c0 + Σ d̂·b̂, per tower.

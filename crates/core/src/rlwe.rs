@@ -20,10 +20,11 @@
 //!   one lane each;
 //! * `mul` — ciphertext×ciphertext: the degree-2 tensor as pointwise
 //!   dispatches split across the component lanes, then relinearization
-//!   as `ℓ` gadget-digit jobs ([`KeySwitchSpec`], one fused
-//!   NTT-multiply-accumulate program each) spread over **every** lane by
-//!   the cluster's work-stealing scheduler against per-lane replicated
-//!   key material;
+//!   as `ℓ` gadget-digit jobs ([`KeySwitchSpec`]: one dispatch of one
+//!   fused program per digit, which forward-transforms the digit once
+//!   and multiply-accumulates it into both the `a` and the `b`
+//!   accumulator) spread over **every** lane by the cluster's
+//!   work-stealing scheduler against per-lane replicated key material;
 //! * `rotate` / `apply_galois` — the Galois automorphism `σ_g` as the
 //!   on-device coefficient-permutation kernel ([`AutomorphismSpec`],
 //!   built on the `vgather` indexed load), followed by the same
@@ -810,13 +811,14 @@ impl<'a> RlweEvaluator<'a> {
 
     /// The gadget key-switch inner product, scheduled across **all**
     /// lanes: `src_coeffs` is decomposed into `ℓ` digits, and each digit
-    /// becomes one work-stealing job (upload the digit, then two fused
-    /// NTT-multiply-accumulate dispatches against that lane's resident
-    /// key parts and per-lane accumulators). Per-lane partial sums are
-    /// then folded onto the component lanes — modular addition is
-    /// associative-commutative, so the result is bit-exact whatever the
-    /// steal order. Returns `(Σ d̂_j·â_j on lane_a, Σ d̂_j·b̂_j on
-    /// lane_b)`.
+    /// becomes one work-stealing job (upload the digit, then one fused
+    /// two-component NTT-multiply-accumulate dispatch that transforms
+    /// the digit once and folds it into both of that lane's per-lane
+    /// accumulators against its resident key parts). Per-lane partial
+    /// sums are then folded onto the component lanes — modular
+    /// addition is associative-commutative, so the result is bit-exact
+    /// whatever the steal order. Returns `(Σ d̂_j·â_j on lane_a,
+    /// Σ d̂_j·b̂_j on lane_b)`.
     fn key_switch(
         &mut self,
         src_coeffs: &[u128],
@@ -862,13 +864,13 @@ impl<'a> RlweEvaluator<'a> {
                 Box::new(move |w: &mut LaneWorker<'_, '_>| {
                     let l = w.lane_index();
                     let d = w.upload(&digit)?;
-                    let r = (|| {
-                        w.dispatch(&ksw[l], &[d, part_a[l], acc_a[l]], &[acc_a[l]])?;
-                        w.dispatch(&ksw[l], &[d, part_b[l], acc_b[l]], &[acc_b[l]])?;
-                        Ok(())
-                    })();
+                    let r = w.dispatch(
+                        &ksw[l],
+                        &[d, part_a[l], part_b[l], acc_a[l], acc_b[l]],
+                        &[acc_a[l], acc_b[l]],
+                    );
                     let _ = w.free(d);
-                    r
+                    r.map(|_| ())
                 }) as LaneJob<'_, ()>
             })
             .collect();

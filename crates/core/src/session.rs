@@ -796,9 +796,18 @@ impl<'a> RpuSession<'a> {
     /// Dispatches a compiled kernel over device-resident buffers: binds
     /// `inputs` to the kernel's operand windows with on-device copies,
     /// executes the program on the session's persistent simulator, and
-    /// writes the result into `outputs[0]` — **no host data movement**.
+    /// writes the result into `outputs` — **no host data movement**.
     /// Consecutive dispatches of the same kernel also skip reloading its
     /// constant image (`transfer.image_reused`).
+    ///
+    /// `outputs` is one or more buffers whose lengths, in order, tile the
+    /// kernel's output window ([`Kernel::output_range`]): the first
+    /// buffer receives the window's leading elements, the next buffer
+    /// the elements after those, and so on. One full-length buffer is
+    /// the common case; a multi-output kernel such as the two-component
+    /// key-switch digit kernel writes each component into its own
+    /// buffer this way. Every handle and length is validated before any
+    /// device state changes.
     ///
     /// The report's `verified` flag is the verdict memoized on the
     /// kernel itself ([`Kernel::verification`]), so it survives cache
@@ -807,9 +816,11 @@ impl<'a> RpuSession<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`RpuError::Buffer`] for stale handles, operand-count or
-    /// length mismatches, or a kernel too large for the workspace, and
-    /// [`RpuError::Exec`] if the program faults.
+    /// Returns [`RpuError::Buffer`] for stale handles, an operand-count
+    /// mismatch or an empty `outputs` ([`BufferError::ArityMismatch`]),
+    /// operand lengths or output tiles that do not match the kernel
+    /// ([`BufferError::LengthMismatch`]), or a kernel too large for the
+    /// workspace, and [`RpuError::Exec`] if the program faults.
     pub fn dispatch(
         &mut self,
         kernel: &Arc<Kernel>,
@@ -856,10 +867,10 @@ impl<'a> RpuSession<'a> {
             }
             .into());
         }
-        if outputs.len() != 1 {
+        if outputs.is_empty() {
             return Err(BufferError::ArityMismatch {
                 expected: 1,
-                got: outputs.len(),
+                got: 0,
             }
             .into());
         }
@@ -884,12 +895,17 @@ impl<'a> RpuSession<'a> {
             }
             in_locs.push(offset);
         }
+        // The output buffers tile the kernel's output window in order.
         let (out_ws, out_len) = kernel.output_range();
-        let (out_offset, got) = self.device.heap.resolve(&outputs[0])?;
-        if got != out_len {
+        let mut out_locs = Vec::with_capacity(outputs.len());
+        for buf in outputs {
+            out_locs.push(self.device.heap.resolve(buf)?);
+        }
+        let tiled: usize = out_locs.iter().map(|&(_, len)| len).sum();
+        if tiled != out_len {
             return Err(BufferError::LengthMismatch {
                 expected: out_len,
-                got,
+                got: tiled,
             }
             .into());
         }
@@ -937,10 +953,14 @@ impl<'a> RpuSession<'a> {
         }
 
         // Result write-back: workspace → heap, still on-device.
-        self.device
-            .sim
-            .copy_vdm(out_offset, out_ws, out_len)
-            .map_err(RpuError::Exec)?;
+        let mut src = out_ws;
+        for (dst, len) in out_locs {
+            self.device
+                .sim
+                .copy_vdm(dst, src, len)
+                .map_err(RpuError::Exec)?;
+            src += len;
+        }
         transfer.device_copies += out_len;
         Ok(transfer)
     }

@@ -31,7 +31,8 @@ pub(crate) struct LaneKernelSet {
     pub pwmul: Arc<Kernel>,
     pub pwadd: Arc<Kernel>,
     pub pwsub: Arc<Kernel>,
-    /// The fused NTT-multiply-accumulate gadget digit kernel.
+    /// The fused two-component NTT-multiply-accumulate gadget digit
+    /// kernel.
     pub ksw: Arc<Kernel>,
 }
 
@@ -227,7 +228,8 @@ pub(crate) fn upload_ksk(
 
 /// The gadget key-switch inner product, entirely on one lane:
 /// `src_coeffs` decomposes into `ℓ` digits; digit `j` is uploaded and
-/// folded into the two accumulators with the fused kernel, in digit
+/// folded into both accumulators by one dispatch of the fused
+/// two-component kernel (the digit is transformed once), in digit
 /// order (the same order the host reference uses, so sums match
 /// bit-exactly). Returns `(Σ d̂_j·â_j, Σ d̂_j·b̂_j)`.
 fn ksw_accumulate(
@@ -247,11 +249,11 @@ fn ksw_accumulate(
         held.push(acc_b);
         for (j, digit) in digits.iter().enumerate() {
             let d = w.upload(digit)?;
-            let r: Result<(), RpuError> = (|| {
-                w.dispatch(&k.ksw, &[d, ksk.a[j], acc_a], &[acc_a])?;
-                w.dispatch(&k.ksw, &[d, ksk.b[j], acc_b], &[acc_b])?;
-                Ok(())
-            })();
+            let r = w.dispatch(
+                &k.ksw,
+                &[d, ksk.a[j], ksk.b[j], acc_a, acc_b],
+                &[acc_a, acc_b],
+            );
             let _ = w.free(d);
             r?;
         }

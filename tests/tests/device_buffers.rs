@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rpu::{
     BufferAllocator, BufferError, CodegenStyle, Direction, ElementwiseOp, ElementwiseSpec,
-    KernelSpec, NttSpec, PrimeTable, Rpu, RpuConfig, RpuError,
+    KernelSpec, KeySwitchSpec, NttSpec, PrimeTable, Rpu, RpuConfig, RpuError,
 };
 
 /// Asserts the allocator's structural invariants: free and live blocks
@@ -305,6 +305,94 @@ fn dispatch_validates_shapes() {
         s.dispatch(&mul, &[x, y], &[out]),
         Err(RpuError::Buffer(BufferError::StaleHandle { .. }))
     ));
+}
+
+#[test]
+fn output_tiles_match_one_full_length_buffer() {
+    // The two-component key-switch kernel's 2n output window, written
+    // once into one full-length buffer and once into two half-length
+    // tiles, must give the same elements in the same order.
+    let n = 1024usize;
+    let rpu = Rpu::builder().build().unwrap();
+    let mut s = rpu.session();
+    let q = s.primes_for(n).unwrap();
+    let ksw = s
+        .compile(&KeySwitchSpec::new(n, q, CodegenStyle::Optimized))
+        .unwrap();
+    let inputs: Vec<_> = (0..5)
+        .map(|k| s.upload(&test_data(n, 10 + k)).unwrap())
+        .collect();
+    let full = s.alloc(2 * n).unwrap();
+    s.dispatch(&ksw, &inputs, &[full]).unwrap();
+    let (lo, hi) = (s.alloc(n).unwrap(), s.alloc(n).unwrap());
+    s.dispatch(&ksw, &inputs, &[lo, hi]).unwrap();
+    let mut tiled = s.download(&lo).unwrap();
+    tiled.extend(s.download(&hi).unwrap());
+    assert_eq!(tiled, s.download(&full).unwrap());
+}
+
+#[test]
+fn bad_output_tiles_are_rejected_without_side_effects() {
+    let n = 1024usize;
+    let rpu = Rpu::builder().build().unwrap();
+    let mut s = rpu.session();
+    let q = s.primes_for(n).unwrap();
+    let mul = s
+        .compile(&ElementwiseSpec::new(
+            ElementwiseOp::MulMod,
+            n,
+            q,
+            CodegenStyle::Optimized,
+        ))
+        .unwrap();
+    let ksw = s
+        .compile(&KeySwitchSpec::new(n, q, CodegenStyle::Optimized))
+        .unwrap();
+    let inputs: Vec<_> = (0..5)
+        .map(|k| s.upload(&test_data(n, 20 + k)).unwrap())
+        .collect();
+    let (lo, hi) = (s.alloc(n).unwrap(), s.alloc(n).unwrap());
+    let full = s.alloc(2 * n).unwrap();
+    let dead = s.alloc(n).unwrap();
+    s.free(dead).unwrap();
+    // Leave the pointwise kernel's image loaded.
+    let out = s.alloc(n).unwrap();
+    s.dispatch(&mul, &inputs[..2], &[out]).unwrap();
+    let before = s.snapshot();
+
+    let mismatch = |got| BufferError::LengthMismatch {
+        expected: 2 * n,
+        got,
+    };
+    let cases = [
+        (
+            "empty",
+            vec![],
+            BufferError::ArityMismatch {
+                expected: 1,
+                got: 0,
+            },
+        ),
+        ("too short", vec![lo], mismatch(n)),
+        ("too long", vec![lo, hi, out], mismatch(3 * n)),
+        ("full plus a tile", vec![full, lo], mismatch(3 * n)),
+        (
+            "stale tile",
+            vec![lo, dead],
+            BufferError::StaleHandle { id: dead.id() },
+        ),
+    ];
+    for (label, outputs, want) in cases {
+        match s.dispatch(&ksw, &inputs, &outputs) {
+            Err(RpuError::Buffer(got)) => assert_eq!(got, want, "{label}"),
+            other => panic!("{label}: expected {want:?}, got {other:?}"),
+        }
+        // No heap contents, workspace contents or loaded-image identity
+        // changed.
+        assert_eq!(s.snapshot(), before, "{label}: device state changed");
+    }
+    let again = s.dispatch(&mul, &inputs[..2], &[out]).unwrap();
+    assert!(again.transfer.image_reused, "the loaded image was replaced");
 }
 
 #[test]

@@ -150,56 +150,63 @@ fn dispatch_once(rpu: &Rpu, spec: &dyn KernelSpec, operands: &[Vec<u128>]) -> Ve
 /// path) executor and on a `force_interpreter` instance, must produce
 /// bit-identical outputs — and both must equal the host-side
 /// interpreter run (`Kernel::execute`), closing the loop on the
-/// interpreter-as-oracle contract for random inputs.
+/// interpreter-as-oracle contract for random inputs. Runs once per
+/// engine class: a 120-bit prime (Montgomery-128) and a 59-bit prime
+/// (native u64, the engine the leveled chain's key switch runs on).
 #[test]
 fn fast_path_matches_interpreter_for_every_kernel_family() {
     let n = rpu::smoke_cap(2048);
-    let q = find_ntt_prime_chain(120, 2 * n as u128, 1)[0];
     let style = CodegenStyle::Optimized;
     let fast = Rpu::builder().build().unwrap();
     let oracle = Rpu::builder().force_interpreter(true).build().unwrap();
     assert!(!fast.force_interpreter());
     assert!(oracle.force_interpreter());
 
-    let families: Vec<(&str, Box<dyn KernelSpec>)> = vec![
-        (
-            "ntt-fwd",
-            Box::new(NttSpec::new(n, q, Direction::Forward, style)),
-        ),
-        (
-            "ntt-inv",
-            Box::new(NttSpec::new(n, q, Direction::Inverse, style)),
-        ),
-        (
-            "pwmul",
-            Box::new(ElementwiseSpec::new(ElementwiseOp::MulMod, n, q, style)),
-        ),
-        (
-            "pwadd",
-            Box::new(ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, style)),
-        ),
-        (
-            "pwsub",
-            Box::new(ElementwiseSpec::new(ElementwiseOp::SubMod, n, q, style)),
-        ),
-        ("conv", Box::new(ConvolutionSpec::new(n, q, style))),
-        ("autom", Box::new(AutomorphismSpec::new(n, q, 5, style))),
-        ("keyswitch", Box::new(KeySwitchSpec::new(n, q, style))),
-    ];
-    for (i, (label, spec)) in families.iter().enumerate() {
-        let kernel = spec.generate().expect("spec generates");
-        let operands: Vec<Vec<u128>> = (0..kernel.arity())
-            .map(|k| residues(n, q, (i as u64) << 8 | k as u64))
-            .collect();
-        let refs: Vec<&[u128]> = operands.iter().map(Vec::as_slice).collect();
-        let host = kernel.execute(&refs).expect("host oracle runs");
-        let fast_out = dispatch_once(&fast, spec.as_ref(), &operands);
-        let oracle_out = dispatch_once(&oracle, spec.as_ref(), &operands);
-        assert_eq!(
-            fast_out, oracle_out,
-            "family {label}: fast path vs interpreter"
-        );
-        assert_eq!(fast_out, host, "family {label}: dispatch vs host oracle");
+    for bits in [120u32, 59] {
+        let q = find_ntt_prime_chain(bits, 2 * n as u128, 1)[0];
+        let families: Vec<(&str, Box<dyn KernelSpec>)> = vec![
+            (
+                "ntt-fwd",
+                Box::new(NttSpec::new(n, q, Direction::Forward, style)),
+            ),
+            (
+                "ntt-inv",
+                Box::new(NttSpec::new(n, q, Direction::Inverse, style)),
+            ),
+            (
+                "pwmul",
+                Box::new(ElementwiseSpec::new(ElementwiseOp::MulMod, n, q, style)),
+            ),
+            (
+                "pwadd",
+                Box::new(ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, style)),
+            ),
+            (
+                "pwsub",
+                Box::new(ElementwiseSpec::new(ElementwiseOp::SubMod, n, q, style)),
+            ),
+            ("conv", Box::new(ConvolutionSpec::new(n, q, style))),
+            ("autom", Box::new(AutomorphismSpec::new(n, q, 5, style))),
+            ("keyswitch", Box::new(KeySwitchSpec::new(n, q, style))),
+        ];
+        for (i, (label, spec)) in families.iter().enumerate() {
+            let kernel = spec.generate().expect("spec generates");
+            let operands: Vec<Vec<u128>> = (0..kernel.arity())
+                .map(|k| residues(n, q, (i as u64) << 8 | k as u64))
+                .collect();
+            let refs: Vec<&[u128]> = operands.iter().map(Vec::as_slice).collect();
+            let host = kernel.execute(&refs).expect("host oracle runs");
+            let fast_out = dispatch_once(&fast, spec.as_ref(), &operands);
+            let oracle_out = dispatch_once(&oracle, spec.as_ref(), &operands);
+            assert_eq!(
+                fast_out, oracle_out,
+                "{bits}-bit family {label}: fast path vs interpreter"
+            );
+            assert_eq!(
+                fast_out, host,
+                "{bits}-bit family {label}: dispatch vs host oracle"
+            );
+        }
     }
 }
 

@@ -12,12 +12,15 @@
 //! budget.
 
 use proptest::prelude::*;
+use rpu::codegen::spec_for_key;
 use rpu::ntt::rlwe::Splitmix;
 use rpu::ntt::testutil::schoolbook_negacyclic;
 use rpu::{
-    CodegenStyle, DeviceLeveledCiphertext, LeveledCiphertext, LeveledContext, LeveledEvaluator,
-    Rpu, RpuError,
+    CodegenStyle, DeviceLeveledCiphertext, KernelKey, KernelOp, LeveledCiphertext, LeveledContext,
+    LeveledEvaluator, RingTraceSink, Rpu, RpuError,
 };
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const T: u128 = 65537;
 /// Chain prime width for the device suite (4 towers ≈ a 236-bit `Q`).
@@ -135,6 +138,88 @@ fn depth_3_chain_is_bit_exact_on_two_lanes() {
 #[test]
 fn depth_3_chain_is_bit_exact_on_four_lanes() {
     depth_3_chain_is_bit_exact(4);
+}
+
+/// The key-switch dispatch count of a depth-3 chain at one lane: a
+/// level-`L` multiply issues one two-component digit dispatch per
+/// (live tower, source tower, digit), `(L + 1)² · ℓ` in all — 58 over
+/// the three multiplies at 4 × 59-bit primes with base 2³² (ℓ = 2).
+/// Tower-major dispatch order means each multiply loads each tower's
+/// key-switch image at most once: every reload the session charges to
+/// `TransferStats::image_elements` is a change of kernel in the
+/// dispatch sequence, and each tower's key-switch kernel changes in at
+/// most once per multiply.
+#[test]
+fn depth_3_chain_key_switch_dispatches_at_one_lane() {
+    let n = rpu::smoke_cap(1024);
+    let sink = Arc::new(RingTraceSink::new(1 << 16));
+    let rpu = Rpu::builder().trace(sink.clone()).build().unwrap();
+    let ctx = LeveledContext::generate(n, T, BITS, 4).unwrap();
+    let mut eval = LeveledEvaluator::new(&rpu, ctx, CodegenStyle::Optimized).unwrap();
+    eval.set_key_base_log(BASE_LOG).unwrap();
+    let mut rng = Splitmix::new(0x5EED);
+    eval.keygen(&mut rng).unwrap();
+    eval.relin_keygen(&mut rng).unwrap();
+    let digits = BITS.div_ceil(BASE_LOG) as usize;
+    assert_eq!(digits, 2);
+
+    let mut image_sizes: HashMap<KernelKey, usize> = HashMap::new();
+    let mut image_size = |key: KernelKey| {
+        *image_sizes.entry(key).or_insert_with(|| {
+            let spec = spec_for_key(&key).expect("dispatched keys are canonical");
+            spec.generate().unwrap().total_elements()
+        })
+    };
+    let image_elements =
+        |eval: &LeveledEvaluator<'_>| eval.cluster().lane_stats(0).transfer.image_elements;
+
+    let mut acc = eval.encrypt(&message(n, 1), &mut rng).unwrap();
+    let mut total_ksw = 0;
+    for level in (1..=3usize).rev() {
+        assert_eq!(acc.level(), level);
+        let prev_key = sink.events().last().map(|e| e.key);
+        let (seq, images) = (sink.recorded(), image_elements(&eval));
+        let product = eval.mul(&acc, &acc).unwrap();
+        let events: Vec<_> = sink.events().into_iter().filter(|e| e.seq >= seq).collect();
+        let loaded = image_elements(&eval) - images;
+
+        let ksw: Vec<_> = events
+            .iter()
+            .filter(|e| e.key.op == KernelOp::KeySwitch)
+            .collect();
+        assert_eq!(
+            ksw.len(),
+            (level + 1) * (level + 1) * digits,
+            "level {level}"
+        );
+        total_ksw += ksw.len();
+
+        // Image loads are exactly the kernel changes in the sequence.
+        let mut reloads: HashMap<KernelKey, usize> = HashMap::new();
+        let mut expect_loaded = 0;
+        let mut last = prev_key;
+        for e in &events {
+            if last != Some(e.key) {
+                *reloads.entry(e.key).or_default() += 1;
+                expect_loaded += image_size(e.key);
+            }
+            last = Some(e.key);
+        }
+        assert_eq!(loaded, expect_loaded, "level {level}: image elements");
+        // One key-switch kernel per live tower, each loaded once.
+        let ksw_loads: Vec<usize> = reloads
+            .iter()
+            .filter(|(key, _)| key.op == KernelOp::KeySwitch)
+            .map(|(_, &count)| count)
+            .collect();
+        assert_eq!(ksw_loads, vec![1; level + 1], "level {level}");
+
+        let next = eval.rescale(&product).unwrap();
+        eval.free_ciphertext(product).unwrap();
+        eval.free_ciphertext(std::mem::replace(&mut acc, next))
+            .unwrap();
+    }
+    assert_eq!(total_ksw, 58);
 }
 
 #[test]
